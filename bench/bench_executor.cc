@@ -10,7 +10,7 @@
 // rings (31 usable slots after power-of-two rounding) with the pool's
 // cooperative in-flight cap disabled, so the only difference is the
 // execution model. This is the regime the tentpole targets — with
-// deep rings, thread-per-task masks its FlushBuffer spin-waste and
+// deep rings, thread-per-task masks its back-pressure spin-waste and
 // context switching behind megabytes of queued (cache-cold,
 // high-latency) inventory; a default-config reference (deep rings +
 // the pool's default in-flight cap) is recorded as a secondary,
@@ -23,8 +23,7 @@
 //   - oversub: worker-pool >= 2x thread-per-task at >= 8x
 //     oversubscription (the case thread-per-task collapses on).
 //
-// Flags: --quick (CI-sized points/durations), --out <path>,
-// --budget/--qcap (experiment overrides).
+// Flags: --quick (CI-sized points/durations), --out <path>.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -61,9 +60,6 @@ struct RunResult {
   uint64_t parks = 0;
 };
 
-int g_budget = 0;  // experiment override, 0 = default
-int g_qcap = 0;    // experiment override, 0 = default
-
 /// Requested ring capacity per edge in the gated comparison; both
 /// executors get the identical ring (and the pool's soft cap is off),
 /// so the buffering budget is exactly equal.
@@ -84,8 +80,6 @@ RunResult RunOnce(ExecutorKind kind, int replication, double seconds,
   // it tighter than the legacy ring (31 usable slots for capacity 16).
   if (equal_rings) cfg.pool_inflight_batches = 0;
   cfg.graceful_drain = false;
-  if (g_budget > 0) cfg.poll_budget = g_budget;
-  if (g_qcap > 0) cfg.queue_capacity = static_cast<size_t>(g_qcap);
   auto rt = engine::BriskRuntime::Create(app->topology_ptr.get(), *plan, cfg);
   if (!rt.ok()) std::abort();
   if (!(*rt)->Start().ok()) std::abort();
@@ -160,7 +154,6 @@ SkewResult RunSkew(bool steal_on, double seconds) {
   // At least two workers per socket so intra-socket stealing is
   // structurally possible even on small hosts.
   cfg.workers_per_socket = std::max(2, cores / 2);
-  if (g_budget > 0) cfg.poll_budget = g_budget;
   auto rt = engine::BriskRuntime::Create(app->topology_ptr.get(), *plan,
                                          cfg, &numa);
   if (!rt.ok()) std::abort();
@@ -194,12 +187,6 @@ int Main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
-    }
-    if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
-      g_budget = std::atoi(argv[++i]);
-    }
-    if (std::strcmp(argv[i], "--qcap") == 0 && i + 1 < argc) {
-      g_qcap = std::atoi(argv[++i]);
     }
   }
   const double seconds = quick ? 0.4 : 1.5;

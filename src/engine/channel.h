@@ -87,8 +87,8 @@ class Channel {
 
   /// Popping from a full queue wakes the producer's worker: it may be
   /// parked with a batch waiting on back-pressure (PollResult::kBlocked)
-  /// and the pop just made room. "Full" is the producer's view — the
-  /// cooperative in-flight cap when one is set, else the ring capacity.
+  /// and the pop just made room. "Full" is the producer's view
+  /// (producer_full_threshold).
   bool TryPop(Envelope* e) {
     if (reuse_shells_) {
       const bool was_full =
@@ -128,12 +128,16 @@ class Channel {
     producer_waker_ = producer;
   }
 
-  /// Occupancy at which the producer considers this channel full (the
-  /// EngineConfig::pool_inflight_batches cap); pops crossing below it
-  /// wake the producer.
+  /// Occupancy at which the producer considers this channel full: its
+  /// task parks the next envelope there, and pops crossing below it
+  /// wake the producer. The executor that wires the channel decides it
+  /// (pre-start): the worker pool sets its in-flight cap
+  /// (EngineConfig::pool_inflight_batches), thread-per-task keeps the
+  /// ring capacity.
   void SetProducerFullThreshold(size_t batches) {
     producer_full_threshold_ = batches;
   }
+  size_t producer_full_threshold() const { return producer_full_threshold_; }
 
   // BatchPool return path. The roles flip: the channel's consumer task
   // produces into the recycle queue, its producer task consumes — so

@@ -17,7 +17,7 @@
 namespace brisk::engine {
 
 /// Spout token-bucket burst capacity, shared by the real engine
-/// (Task::RunSpout) and the simulator so the model never drifts from
+/// (Task::PollSpout) and the simulator so the model never drifts from
 /// the runtime it predicts: enough headroom to recover the budget
 /// accrued across a scheduler stall (tens of ms on a loaded host),
 /// never less than a few batches.
@@ -36,9 +36,9 @@ inline double SpoutBurstCap(int batch_size, double rate_tps) {
 ///                    replication ≫ cores never oversubscribes the OS
 ///                    scheduler. This is the native mode.
 ///   kThreadPerTask — the legacy model: one dedicated OS thread per
-///                    instance, spinning on back-pressure. Kept for A/B
-///                    benching (bench_executor) and as the behavioral
-///                    reference.
+///                    instance polling Task::Poll, spinning on
+///                    back-pressure. Kept for A/B benching
+///                    (bench_executor) and as the behavioral reference.
 enum class ExecutorKind { kThreadPerTask, kWorkerPool };
 
 inline const char* ExecutorKindName(ExecutorKind kind) {
@@ -120,11 +120,6 @@ struct EngineConfig {
   /// emulated 8-socket plan on a laptop never spawns 144 workers).
   int workers_per_socket = 0;
 
-  /// Work quantum per Task::Poll visit: a bolt drains up to this many
-  /// envelopes, a spout produces up to this many batches, before the
-  /// worker moves to its next task.
-  int poll_budget = 8;
-
   /// Worker-pool producers treat a channel already holding this many
   /// undelivered batches as full and park the next one (cooperative
   /// back-pressure) instead of filling the whole ring. This bounds the
@@ -132,32 +127,19 @@ struct EngineConfig {
   /// after production — with deep rings a single core otherwise
   /// accumulates megabytes of queued tuples and pays a capacity miss
   /// per batch. Clamped to queue_capacity; <= 0 disables the cap.
+  /// The pool applies it as each channel's producer-full threshold.
   /// (Thread-per-task mode ignores it: parking is what makes a short
   /// effective queue cheap, and legacy spinning would burn cores.)
   int pool_inflight_batches = 16;
 
-  /// How long an idle worker parks before re-scanning on its own.
-  /// Producers wake it earlier through the channel Waker hints; the
-  /// timeout covers wakes the hints cannot see (token-bucket refills).
-  int park_timeout_us = 500;
-
   /// Morsel-style work stealing between pool workers: a worker whose
   /// own run queue yields no progress steals the least-recently-polled
   /// task from the deepest sibling in its socket group, and only after
-  /// `steal_patience` consecutive failed intra-socket rounds reaches
-  /// across sockets — RLAS placement stays an affinity, not a
-  /// straitjacket. Off pins every task to the worker the round-robin
-  /// distribution gave it (PR-4 behavior, kept for A/B benching).
+  /// a few consecutive failed intra-socket rounds reaches across
+  /// sockets — RLAS placement stays an affinity, not a straitjacket.
+  /// Off pins every task to the worker the round-robin distribution
+  /// gave it (the pre-stealing behavior, kept for A/B benching).
   bool steal_work = true;
-
-  /// Consecutive idle passes in which no intra-socket victim was found
-  /// before a worker is allowed one cross-socket steal attempt.
-  int steal_patience = 4;
-
-  /// Consecutive idle polls after which a task stolen across sockets
-  /// is repatriated to a worker of its plan socket: a migrant that has
-  /// gone quiet drifts home instead of anchoring remote wake hints.
-  int steal_repatriate_after = 8;
 
   /// Back channel/batch-shell allocation with per-plan-socket
   /// hugepage-backed arenas (hw::NumaArena), mbind-placed on real
@@ -165,10 +147,6 @@ struct EngineConfig {
   /// allocator for everything (legacy modes keep it off: allocation
   /// cost is part of what they model).
   bool numa_arena = true;
-
-  /// Arena reservation granularity per mmap chunk (kibibytes); the
-  /// default matches the x86-64 2 MiB huge page.
-  size_t arena_chunk_kb = 2048;
 
   /// Stop() stops spouts first and lets bolts drain in-flight
   /// envelopes (bounded by drain_timeout_s) before halting, so a
@@ -181,19 +159,6 @@ struct EngineConfig {
   /// Deterministic under `seed`: triggers are tuple-count based, so a
   /// seeded job fails identically on every run.
   FaultPlan faults;
-
-  /// Producer-side in-flight bound per channel, in batches: the
-  /// cooperative cap clamped to the queue capacity, or kUncapped when
-  /// disabled (the ring's own capacity is then the only bound). The
-  /// single source of truth for both the task's park threshold and the
-  /// channel's producer wake threshold — they must agree, or producers
-  /// park at one occupancy and only wake (by timeout) at another.
-  static constexpr size_t kUncapped = ~size_t{0};
-  size_t EffectiveInflightCap() const {
-    if (pool_inflight_batches <= 0) return kUncapped;
-    return std::min(queue_capacity,
-                    static_cast<size_t>(pool_inflight_batches));
-  }
 
   /// BriskStream's native configuration.
   static EngineConfig Brisk() { return EngineConfig{}; }

@@ -39,11 +39,30 @@ void PinThreadToCpu(std::thread& thread, int cpu) {
 #endif
 }
 
-/// Wait-strategy thresholds: a worker that makes no progress spins
-/// kSpinPasses times, yields kYieldPasses times, then parks on its
-/// Waker until notified or the park timeout elapses.
+/// Work quantum per Task::Poll visit: a bolt drains up to this many
+/// envelopes, a spout produces up to this many batches, before the
+/// executor moves on (or, in thread-per-task mode, re-checks stop).
+constexpr int kPollBudget = 8;
+
+/// Wait-strategy thresholds: a pool worker that makes no progress
+/// spins kSpinPasses times, yields kYieldPasses times, then parks on
+/// its Waker until notified or kParkTimeout elapses. Producers wake it
+/// earlier through the channel Waker hints; the timeout covers wakes
+/// the hints cannot see (token-bucket refills). An idle thread-per-task
+/// thread spins kSpinPasses times between yields and never parks.
 constexpr int kSpinPasses = 64;
 constexpr int kYieldPasses = 16;
+constexpr std::chrono::microseconds kParkTimeout{500};
+
+/// Work-stealing patience: consecutive idle passes in which no
+/// intra-socket victim was found before a worker is allowed one
+/// cross-socket steal attempt.
+constexpr int kStealPatience = 4;
+
+/// Consecutive idle polls after which a task stolen across sockets is
+/// repatriated to a worker of its plan socket: a migrant that has gone
+/// quiet drifts home instead of anchoring remote wake hints.
+constexpr int kStealRepatriateAfter = 8;
 
 }  // namespace
 
@@ -72,8 +91,36 @@ int WorkersPerSocketFor(const EngineConfig& config,
 namespace {
 
 // ---------------------------------------------------------------------------
-// Thread-per-task (legacy).
+// Thread-per-task (legacy): one dedicated OS thread per task, each
+// polling its task in a loop. A blocked task spins its core until the
+// consumer makes room — the baseline's defining cost, never yielded —
+// and an idle one spins, then yields. kDone ends the thread: a finished
+// source or a failed replica does no more work this run.
 // ---------------------------------------------------------------------------
+
+void DriveTask(Task* task, const StopSignals* signals) {
+  int idle_spins = 0;
+  while (!signals->stop_all.load(std::memory_order_relaxed)) {
+    switch (task->Poll(kPollBudget)) {
+      case PollResult::kProgress:
+        idle_spins = 0;
+        break;
+      case PollResult::kBlocked:
+        CpuRelax();
+        break;
+      case PollResult::kIdle:
+        if (++idle_spins > kSpinPasses) {
+          std::this_thread::yield();
+          idle_spins = 0;
+        } else {
+          CpuRelax();
+        }
+        break;
+      case PollResult::kDone:
+        return;
+    }
+  }
+}
 
 class ThreadPerTaskExecutor final : public Executor {
  public:
@@ -95,7 +142,7 @@ class ThreadPerTaskExecutor final : public Executor {
     std::map<int, int> next_slot;
     for (Task* task : tasks_) {
       threads_.emplace_back(
-          [task, signals = signals_] { task->Run(signals); });
+          [task, signals = signals_] { DriveTask(task, signals); });
       if (config_.pin_threads) {
         const int slot = next_slot[task->socket()]++;
         PinThreadToCpu(threads_.back(),
@@ -136,13 +183,13 @@ class ThreadPerTaskExecutor final : public Executor {
 //     intra-group load balancing).
 //   - A worker whose pass made no progress steals from the deepest
 //     same-socket sibling holding >= 2 queued tasks; only after
-//     config.steal_patience consecutive idle rounds without an
+//     kStealPatience consecutive idle rounds without an
 //     intra-socket victim does it reach across sockets. RLAS placement
 //     stays an affinity, not a straitjacket.
 //   - A successful steal from a still-deep victim notifies one of the
 //     victim's parked siblings, so backlog recruits the whole group.
 //   - A task stolen across sockets that then idles for
-//     config.steal_repatriate_after consecutive polls is sent back to
+//     kStealRepatriateAfter consecutive polls is sent back to
 //     the least-loaded worker of its plan socket (and that worker is
 //     woken) — but only once the home group has a worker with no
 //     progressing work, so migrants ride out the skew instead of
@@ -219,15 +266,17 @@ class WorkerPoolExecutor final : public Executor {
         BRISK_CHECK(w->deque->PushBack(t));
       }
     }
-    // Producers consider a channel "full" at the cooperative in-flight
-    // cap, so pops crossing below it wake a parked producer. Uncapped
-    // keeps the channel's default (the ring's real capacity).
-    const size_t inflight_cap = config_.EffectiveInflightCap();
+    // Producers treat a channel as full at the in-flight cap: their
+    // task parks the next envelope there, and pops crossing below it
+    // wake the parked producer. Uncapped keeps the channel's default
+    // (the ring's real capacity).
     for (Channel* ch : channels_) {
       ch->SetWakers(&waker_refs_[static_cast<size_t>(ch->to_instance())],
                     &waker_refs_[static_cast<size_t>(ch->from_instance())]);
-      if (inflight_cap != EngineConfig::kUncapped) {
-        ch->SetProducerFullThreshold(inflight_cap);
+      if (config_.pool_inflight_batches > 0) {
+        ch->SetProducerFullThreshold(
+            std::min(config_.queue_capacity,
+                     static_cast<size_t>(config_.pool_inflight_batches)));
       }
     }
   }
@@ -356,14 +405,14 @@ class WorkerPoolExecutor final : public Executor {
   /// checked out, polled once, and requeued (front-pop + back-push =
   /// round-robin). Bounded by the pass-entry depth so steal-ins during
   /// the pass don't extend it unboundedly.
-  bool OwnPass(Worker* w, int budget) {
+  bool OwnPass(Worker* w) {
     uint64_t busy = 0;
     const size_t depth = w->deque->SizeApprox();
     for (size_t i = 0; i < depth && !Stopped(); ++i) {
       Task* t = w->deque->PopFront();
       if (t == nullptr) break;  // thieves got there first
       w->poll_in_flight = 1;
-      if (t->Poll(budget) == PollResult::kProgress) {
+      if (t->Poll(kPollBudget) == PollResult::kProgress) {
         // Publish immediately, not at pass end: a thief deciding
         // whether this worker is worth stealing from must see the
         // busy signal while a long poll is still grinding.
@@ -392,7 +441,7 @@ class WorkerPoolExecutor final : public Executor {
   void Requeue(Worker* w, Task* t) {
     const int home = GroupOfSocket(t->socket());
     if (config_.steal_work && home >= 0 && home != w->group &&
-        t->sched_idle_streak() >= config_.steal_repatriate_after &&
+        t->sched_idle_streak() >= kStealRepatriateAfter &&
         w->busy_depth.value() > 0 &&
         GroupHasStarvedWorker(groups_[static_cast<size_t>(home)])) {
       Worker* target = ShallowestWorker(groups_[static_cast<size_t>(home)]);
@@ -416,7 +465,7 @@ class WorkerPoolExecutor final : public Executor {
     }
     ++*failed_intra_rounds;
     if (groups_.size() > 1 &&
-        *failed_intra_rounds >= std::max(1, config_.steal_patience)) {
+        *failed_intra_rounds >= kStealPatience) {
       // Last resort: rotate over the other socket groups.
       const size_t n = groups_.size();
       for (size_t i = 1; i < n; ++i) {
@@ -538,9 +587,6 @@ class WorkerPoolExecutor final : public Executor {
     // on this thread.
     std::optional<BatchArenaScope> arena_scope;
     if (w->arena != nullptr) arena_scope.emplace(w->arena);
-    const int budget = std::max(1, config_.poll_budget);
-    const auto park_timeout =
-        std::chrono::microseconds(std::max(1, config_.park_timeout_us));
     int idle_passes = 0;
     int failed_intra_rounds = 0;
     // The remembered park token: a park that ended by timeout (not
@@ -550,7 +596,7 @@ class WorkerPoolExecutor final : public Executor {
     bool park_stale = false;
     while (!Stopped()) {
       ++w->heartbeat;
-      const bool progress = OwnPass(w, budget);
+      const bool progress = OwnPass(w);
       if (Stopped()) break;
       if (progress) {
         idle_passes = 0;
@@ -570,7 +616,7 @@ class WorkerPoolExecutor final : public Executor {
       ++idle_passes;
       if (park_stale || idle_passes > kSpinPasses + kYieldPasses) {
         ++w->parks;
-        if (w->waker.WaitFor(park_timeout)) {
+        if (w->waker.WaitFor(kParkTimeout)) {
           ++w->wakes;
           park_stale = false;
         } else {

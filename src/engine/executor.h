@@ -1,7 +1,11 @@
 // Executors: how a placed plan's tasks get CPU time.
 //
-// ThreadPerTaskExecutor is the legacy model — one dedicated OS thread
-// per instance. WorkerPoolExecutor is the native model: one worker
+// Both executors drive tasks only through Task::Poll, and each decides
+// the in-flight cap of the channels it runs (the producer-full
+// threshold a task parks at). ThreadPerTaskExecutor is the legacy
+// model — one dedicated OS thread per instance polling its task,
+// spinning on back-pressure, channels filled to ring capacity.
+// WorkerPoolExecutor is the native model: one worker
 // group per plan socket (sized from the machine's cores-per-socket,
 // capped by the host), each worker owning a bounded run-queue deque of
 // Task::Poll quanta with morsel-style work stealing between workers

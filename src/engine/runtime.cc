@@ -37,7 +37,7 @@ StatusOr<std::unique_ptr<BriskRuntime>> BriskRuntime::Create(
     // allocate from the consumer's arena, so a task's hot memory sits
     // on the socket RLAS placed it on.
     rt->arenas_ = std::make_unique<hw::ArenaSet>(
-        hw::DetectHostTopology(), config.arena_chunk_kb * 1024);
+        hw::DetectHostTopology(), hw::kArenaChunkBytes);
   }
   BRISK_RETURN_NOT_OK(rt->WireGraph(plan, nullptr));
   return rt;
@@ -178,11 +178,10 @@ Status BriskRuntime::StartExecutor() {
   signals_.stop_spouts.store(false);
   signals_.preserve_inflight.store(false);
 
-  const bool cooperative = config_.executor == ExecutorKind::kWorkerPool;
   std::vector<Task*> task_ptrs;
   task_ptrs.reserve(tasks_.size());
   for (auto& task : tasks_) {
-    task->Bind(&signals_, cooperative);
+    task->Bind(&signals_);
     task_ptrs.push_back(task.get());
   }
   std::vector<Channel*> channel_ptrs;
@@ -224,7 +223,7 @@ bool BriskRuntime::WaitForDrain(double timeout_s) {
     // across consecutive checks with empty channels and no envelope
     // parked on back-pressure, which only a quiescent engine sustains.
     // (A parked envelope is invisible to the channels — its producer
-    // may be waiting out park_timeout_us, longer than our window.)
+    // may be waiting out a pool park timeout, longer than our window.)
     uint64_t consumed = 0;
     size_t parked = 0;
     for (const auto& task : tasks_) {
@@ -264,11 +263,10 @@ bool BriskRuntime::QuiesceAndJoin(double* drain_seconds,
                          std::chrono::steady_clock::now() - drain_start)
                          .count();
   }
-  // Preserve mode must flip on only now, between the drain and the
-  // halt: during the drain the legacy executor still needs real
-  // (spinning) back-pressure, or producers would park unboundedly
-  // instead of being throttled. Publication order is a contract with
-  // Task::PushEnvelope — preserve_inflight stores strictly before
+  // Preserve mode only governs what a push does once it sees the halt
+  // (park for the residual sweep instead of dropping), so it flips on
+  // between the drain and the halt. Publication order is a contract
+  // with Task::PushEnvelope — preserve_inflight stores strictly before
   // stop_all (both seq_cst), and readers check stop_all (acquire)
   // first, so no thread can observe the halt without the preserve
   // mode that governs it.

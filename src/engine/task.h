@@ -2,15 +2,13 @@
 // executor wrapping one operator replica plus a partition controller
 // that buffers output tuples into per-consumer jumbo tuples.
 //
-// A task can be driven two ways:
-//   - Run(): the legacy thread-per-task body, looping until stopped
-//     and spinning on back-pressure (ExecutorKind::kThreadPerTask);
-//   - Poll(budget): a resumable work quantum for the worker-pool
-//     executor — a spout produces up to `budget` batches, a bolt
-//     drains up to `budget` envelopes, and a task blocked on
-//     back-pressure parks the un-pushable envelope and returns
-//     kBlocked instead of spinning, so one worker can round-robin many
-//     tasks without oversubscribing the core.
+// A task runs only through Poll(budget), a resumable work quantum: a
+// spout produces up to `budget` batches, a bolt drains up to `budget`
+// envelopes, and a task blocked on back-pressure parks the un-pushable
+// envelope and returns kBlocked. The executor decides what a blocked
+// task costs: the worker pool moves on to its next task (and parks the
+// worker when nothing progresses), thread-per-task spins its dedicated
+// thread and re-polls.
 #pragma once
 
 #include <atomic>
@@ -56,10 +54,8 @@ struct TaskStats {
   /// Outbound batches whose shell came from the channel's recycle
   /// queue instead of the allocator (BatchPool hit rate).
   RelaxedCounter batches_recycled;
-  /// Thread-per-task mode: failed pushes retried in a spin loop.
-  RelaxedCounter backpressure_spins;
-  /// Worker-pool mode: envelopes parked for cooperative retry because
-  /// the consumer's queue was full (the Pending-reschedule path).
+  /// Envelopes parked for retry because the consumer's channel was
+  /// full (the Pending-reschedule path).
   RelaxedCounter backpressure_parks;
   /// Wall time spent inside operator Process()/NextBatch() calls, ns.
   RelaxedCounter busy_ns;
@@ -77,7 +73,6 @@ struct TaskStats {
     batches_in += o.batches_in;
     batches_out += o.batches_out;
     batches_recycled += o.batches_recycled;
-    backpressure_spins += o.backpressure_spins;
     backpressure_parks += o.backpressure_parks;
     busy_ns += o.busy_ns;
     tuples_vec += o.tuples_vec;
@@ -94,11 +89,11 @@ struct StopSignals {
   /// would normally drop its in-flight batch under `stop_all` (full
   /// ring at halt time) parks it instead, so the post-join residual
   /// sweep delivers it and the pause stays lossless even when the
-  /// cooperative drain timed out.
+  /// graceful drain timed out.
   std::atomic<bool> preserve_inflight{false};
 };
 
-/// Outcome of one cooperative work quantum.
+/// Outcome of one work quantum.
 enum class PollResult {
   kProgress,  ///< did work; poll again soon
   kIdle,      ///< no input / rate-limited; ok to back off
@@ -108,7 +103,7 @@ enum class PollResult {
 
 /// The partition controller + executor for one placed instance.
 ///
-/// Single-threaded by construction: Run() or the owning pool worker is
+/// Single-threaded by construction: the executor thread polling it is
 /// the only caller after start; all other methods are wiring performed
 /// before start.
 class Task : public api::OutputCollector, public api::PipelineSink {
@@ -202,16 +197,12 @@ class Task : public api::OutputCollector, public api::PipelineSink {
 
   Status Prepare(const api::OperatorContext& ctx);
 
-  /// Arms the task for one run: stop protocol + execution mode.
-  /// `cooperative` selects the Poll back-pressure behavior (park and
-  /// return kBlocked) over the legacy spin.
-  void Bind(const StopSignals* signals, bool cooperative);
+  /// Arms the task for one run with the stop protocol.
+  void Bind(const StopSignals* signals);
 
-  /// Thread-per-task body: processes until stopped, then finalizes.
-  void Run(const StopSignals* signals);
-
-  /// One cooperative quantum (see PollResult). Requires a prior
-  /// Bind(signals, /*cooperative=*/true).
+  /// One work quantum (see PollResult). Requires a prior Bind. kDone
+  /// is final for the run: a finished source or a failed replica never
+  /// does work again until the next Bind.
   PollResult Poll(int budget);
 
   /// Shutdown epilogue, exactly once per run: consume what is still
@@ -234,7 +225,7 @@ class Task : public api::OutputCollector, public api::PipelineSink {
 
   const TaskStats& stats() const { return stats_; }
 
-  /// Envelopes currently parked on cooperative back-pressure. Written
+  /// Envelopes currently parked on back-pressure. Written
   /// only by the owning worker; other threads read it for the drain
   /// monitor (relaxed, like TaskStats).
   size_t pending_live() const { return pending_live_; }
@@ -257,8 +248,6 @@ class Task : public api::OutputCollector, public api::PipelineSink {
   void ConsumeSelected(JumboTuple* batch, const SelectionVector& sel) override;
 
  private:
-  void RunSpout();
-  void RunBolt();
   PollResult PollSpout(int budget);
   PollResult PollBolt(int budget);
 
@@ -271,15 +260,23 @@ class Task : public api::OutputCollector, public api::PipelineSink {
   void AppendTuple(OutRoute& route, size_t i, Tuple&& t);
 
   /// Moves a full (or, with force, partial) buffer into its channel.
-  /// Returns false when cooperative back-pressure parked the envelope
-  /// (legacy mode spins instead and always returns true).
+  /// Returns false when back-pressure parked the envelope.
   bool FlushBuffer(int buffer_idx, Channel* channel, bool force);
   bool FlushAll(bool force);
 
-  /// Delivers one envelope, honoring the bound back-pressure policy:
-  /// legacy spins until space (bailing at stop_all); cooperative parks
-  /// the envelope in `pending_` and returns false.
+  /// Delivers one envelope, or parks it in `pending_` and returns false
+  /// when the channel is at its producer-full threshold.
   bool PushEnvelope(Envelope&& env, Channel* channel);
+
+  /// The channel is below the occupancy its executor lets a producer
+  /// reach (Channel::producer_full_threshold). The threshold is lifted
+  /// inside the finalize/drain epilogues: consumers no longer run
+  /// concurrently but drain in their own pass, so only the ring bounds
+  /// a push there — capping would drop stateful finals early.
+  bool HasRoom(const Channel* channel) const {
+    return finalizing_ ||
+           channel->SizeApprox() < channel->producer_full_threshold();
+  }
 
   /// Retries parked envelopes in FIFO order; false while any remain.
   bool TryDrainPending();
@@ -332,22 +329,17 @@ class Task : public api::OutputCollector, public api::PipelineSink {
   uint64_t batch_seq_ = 0;
 
   const StopSignals* signals_ = nullptr;
-  bool cooperative_ = false;
   bool source_done_ = false;
   bool finalized_ = false;
-  /// Inside Finalize: the in-flight cap is lifted (pushes bound only
-  /// by the ring) since consumers drain in their own Finalize.
+  /// Inside Finalize/DrainResidual (see HasRoom).
   bool finalizing_ = false;
-  /// Cooperative per-channel in-flight cap in batches (see
-  /// EngineConfig::pool_inflight_batches); ~0 when uncapped/legacy.
-  size_t soft_cap_ = ~size_t{0};
   /// Something may be staged in `buffers_` since the last successful
   /// force-flush — idle iterations skip the O(buffers) flush walk when
   /// clear (it matters: a 64-replica bolt owns hundreds of buffers).
   bool staged_dirty_ = false;
 
-  /// Envelopes that could not be pushed under cooperative
-  /// back-pressure, retried FIFO at the start of every Poll. While any
+  /// Envelopes that could not be pushed under back-pressure, retried
+  /// FIFO at the start of every Poll. While any
   /// are parked the task consumes no new input, so the list is bounded
   /// by one quantum's output fan-out.
   struct PendingPush {

@@ -40,6 +40,10 @@
 
 namespace brisk::hw {
 
+/// The runtime's arena reservation granularity per mmap chunk: the
+/// x86-64 2 MiB huge page.
+inline constexpr size_t kArenaChunkBytes = size_t{2} << 20;
+
 class NumaArena final : public std::pmr::memory_resource,
                         public brisk::BatchArena {
  public:

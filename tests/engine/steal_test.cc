@@ -167,7 +167,7 @@ TEST(WorkStealingTest, IdleWorkerStealsBacklogExactlyOnce) {
   std::vector<Task*> task_ptrs;
   std::vector<Channel*> channel_ptrs;
   for (auto& t : tasks) {
-    t->Bind(&signals, /*cooperative=*/true);
+    t->Bind(&signals);
     task_ptrs.push_back(t.get());
   }
   for (auto& c : channels) channel_ptrs.push_back(c.get());
@@ -234,7 +234,7 @@ TEST(WorkStealingTest, StealsOffKeepsTasksHome) {
   std::vector<Task*> task_ptrs;
   std::vector<Channel*> channel_ptrs;
   for (auto& t : tasks) {
-    t->Bind(&signals, true);
+    t->Bind(&signals);
     task_ptrs.push_back(t.get());
   }
   for (auto& c : channels) channel_ptrs.push_back(c.get());
