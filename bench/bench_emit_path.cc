@@ -1,7 +1,10 @@
 // Emit-path microbenchmark — the §5.2 jumbo-tuple hot path in
 // isolation: a producer task emitting word_count-style tuples through
 // shuffle/fields/broadcast routes into per-consumer jumbo-tuple
-// buffers, drained (and recycled) by the consumer side.
+// buffers, drained (and recycled) by the consumer side. A
+// `wide-fanout` case emits Linear Road position reports (5 int fields)
+// through the LR dispatcher's default stream: 5 routes, so every tuple
+// is copied 4 times and moved once.
 //
 // Reports tuples/s, ns/tuple and — via an interposing counting
 // allocator compiled into this binary only — heap allocations per
@@ -102,6 +105,27 @@ std::vector<std::string> MakeWords(size_t n) {
   return words;
 }
 
+/// One output route of the benchmarked stream.
+struct RouteShape {
+  api::GroupingType grouping = api::GroupingType::kShuffle;
+  size_t key_field = 0;
+};
+
+/// What the producer emits: a one-word word_count tuple, or a Linear
+/// Road position report [type, vehicle, segment, speed, lane].
+enum class TupleShape { kWord, kPositionReport };
+
+/// The LR dispatcher's default stream, in topology order: avg_speed
+/// (by segment), accident_detect (by vehicle), count_vehicle (by
+/// segment), accident_notify (shuffle), toll_notify (by segment).
+const std::vector<RouteShape> kLrDispatcherRoutes = {
+    {api::GroupingType::kFields, 2},
+    {api::GroupingType::kFields, 1},
+    {api::GroupingType::kFields, 2},
+    {api::GroupingType::kShuffle, 0},
+    {api::GroupingType::kFields, 2},
+};
+
 struct EmitResult {
   double tuples_per_sec = 0.0;
   double ns_per_tuple = 0.0;
@@ -118,15 +142,17 @@ constexpr double kBaselineShuffleTps = 13846768.0;
 constexpr double kBaselineShuffleNsPerTuple = 72.2;
 constexpr double kBaselineShuffleAllocsPerTuple = 2.125;
 
-/// One producer task, `consumers` channels under `grouping`, drained
-/// in the same thread every `consumers * batch` emits (this host is
+/// One producer task; one stream with one route per `routes` entry,
+/// each over `consumers` channels; drained in the same thread every
+/// `consumers * batch` emits (this host is
 /// single-core; interleaving producer and consumer measures the real
 /// per-tuple path without scheduler noise). With `recycle` the drain
 /// side hands empty batch shells back through the channel's return
 /// queue (the engine's BatchPool protocol); without it, shells come
 /// back through the ring slots themselves (reuse_ring_shells), so
 /// both modes are allocation-free in steady state.
-EmitResult RunEmitBench(api::GroupingType grouping, int consumers, int batch,
+EmitResult RunEmitBench(const std::vector<RouteShape>& routes,
+                        TupleShape shape, int consumers, int batch,
                         uint64_t rounds, bool recycle) {
   EngineConfig cfg = EngineConfig::Brisk();
   cfg.batch_size = batch;
@@ -134,29 +160,39 @@ EmitResult RunEmitBench(api::GroupingType grouping, int consumers, int batch,
   const bool reuse = cfg.reuse_ring_shells && !cfg.recycle_batches;
   Task task(0, 0, cfg, nullptr);
   std::vector<std::unique_ptr<Channel>> channels;
-  OutRoute route;
-  route.stream_id = 0;
-  route.grouping = grouping;
-  route.key_field = 0;
-  for (int c = 0; c < consumers; ++c) {
-    channels.push_back(
-        std::make_unique<Channel>(0, c + 1, cfg.queue_capacity, reuse));
-    route.channels.push_back(channels.back().get());
-    route.buffer_index.push_back(task.AddBuffer());
+  for (const RouteShape& rs : routes) {
+    OutRoute route;
+    route.stream_id = 0;
+    route.grouping = rs.grouping;
+    route.key_field = rs.key_field;
+    for (int c = 0; c < consumers; ++c) {
+      channels.push_back(std::make_unique<Channel>(
+          0, static_cast<int>(channels.size()) + 1, cfg.queue_capacity,
+          reuse));
+      route.channels.push_back(channels.back().get());
+      route.buffer_index.push_back(task.AddBuffer());
+    }
+    task.AddOutRoute(std::move(route));
   }
-  task.AddOutRoute(std::move(route));
 
   const std::vector<std::string> words = MakeWords(256);
   const uint64_t tuples_per_round =
       static_cast<uint64_t>(consumers) * static_cast<uint64_t>(batch);
   uint64_t consumed = 0;
   size_t next_word = 0;
+  int64_t next_vehicle = 0;
 
   auto emit_round = [&] {
     for (uint64_t i = 0; i < tuples_per_round; ++i) {
       Tuple t;
-      t.fields.emplace_back(words[next_word]);
-      next_word = (next_word + 1) & 255;
+      if (shape == TupleShape::kWord) {
+        t.fields.emplace_back(words[next_word]);
+        next_word = (next_word + 1) & 255;
+      } else {
+        const int64_t v = next_vehicle++;
+        t.fields = {Field(0), Field(v % 1000), Field(v % 100),
+                    Field(v % 80), Field(v % 4)};
+      }
       task.EmitTo(0, std::move(t));
     }
   };
@@ -235,20 +271,26 @@ int Main(int argc, char** argv) {
   constexpr int kBatch = 64;
 
   bench::Banner("emit path",
-                "zero-allocation jumbo-tuple emit microbenchmark, WC");
+                "zero-allocation jumbo-tuple emit microbenchmark, WC + LR");
 
-  const EmitResult shuffle = RunEmitBench(api::GroupingType::kShuffle,
-                                          kConsumers, kBatch, rounds,
-                                          /*recycle=*/true);
-  const EmitResult shuffle_nopool = RunEmitBench(
-      api::GroupingType::kShuffle, kConsumers, kBatch, rounds,
-      /*recycle=*/false);
-  const EmitResult fields = RunEmitBench(api::GroupingType::kFields,
-                                         kConsumers, kBatch, rounds,
-                                         /*recycle=*/true);
-  const EmitResult broadcast = RunEmitBench(api::GroupingType::kBroadcast,
-                                            kConsumers, kBatch, rounds / 4,
-                                            /*recycle=*/true);
+  auto one_route = [](api::GroupingType g) {
+    return std::vector<RouteShape>{{g, 0}};
+  };
+  const EmitResult shuffle =
+      RunEmitBench(one_route(api::GroupingType::kShuffle), TupleShape::kWord,
+                   kConsumers, kBatch, rounds, /*recycle=*/true);
+  const EmitResult shuffle_nopool =
+      RunEmitBench(one_route(api::GroupingType::kShuffle), TupleShape::kWord,
+                   kConsumers, kBatch, rounds, /*recycle=*/false);
+  const EmitResult fields =
+      RunEmitBench(one_route(api::GroupingType::kFields), TupleShape::kWord,
+                   kConsumers, kBatch, rounds, /*recycle=*/true);
+  const EmitResult broadcast = RunEmitBench(
+      one_route(api::GroupingType::kBroadcast), TupleShape::kWord,
+      kConsumers, kBatch, rounds / 4, /*recycle=*/true);
+  const EmitResult wide_fanout =
+      RunEmitBench(kLrDispatcherRoutes, TupleShape::kPositionReport,
+                   kConsumers, kBatch, rounds / 4, /*recycle=*/true);
 
   const std::vector<int> widths = {16, 14, 10, 12};
   bench::PrintRule(widths);
@@ -272,6 +314,8 @@ int Main(int argc, char** argv) {
       fields.allocs_per_tuple);
   row("broadcast", broadcast.tuples_per_sec, broadcast.ns_per_tuple,
       broadcast.allocs_per_tuple);
+  row("wide-fanout", wide_fanout.tuples_per_sec, wide_fanout.ns_per_tuple,
+      wide_fanout.allocs_per_tuple);
   bench::PrintRule(widths);
   std::printf("speedup vs baseline (shuffle): %.2fx\n",
               shuffle.tuples_per_sec / kBaselineShuffleTps);
@@ -284,29 +328,37 @@ int Main(int argc, char** argv) {
   bench::JsonObj doc;
   doc.Add("bench", "emit_path")
       .Add("workload",
-           "word_count emit: 1 producer task, 4 consumer channels, batch 64")
+           "word_count emit: 1 producer task, 4 consumer channels per "
+           "route, batch 64; wide_fanout: LR position reports over the "
+           "dispatcher's 5 routes")
       .Add("quick", quick)
       .Add("baseline_shuffle", baseline)
       .Add("shuffle", ToJson(shuffle))
       .Add("shuffle_nopool", ToJson(shuffle_nopool))
       .Add("fields", ToJson(fields))
       .Add("broadcast", ToJson(broadcast))
+      .Add("wide_fanout", ToJson(wide_fanout))
       .Add("speedup_vs_baseline",
            shuffle.tuples_per_sec / kBaselineShuffleTps);
   if (!bench::WriteJsonFile(out_path, doc)) return 1;
   std::printf("wrote %s\n", out_path.c_str());
 
   // CI gate: the emit path must not touch the allocator in steady
-  // state — pooled (BatchPool) *and* unpooled (ring-shell reuse). A
-  // single alloc per tuple (or per batch) is a regression of the
-  // whole point of this data plane.
+  // state — pooled (BatchPool) *and* unpooled (ring-shell reuse), and
+  // for fan-out copies (broadcast, and LR's 5-field tuples over 5
+  // routes). A single alloc per tuple (or per batch) is a regression
+  // of the whole point of this data plane.
   if (shuffle.allocs_per_tuple != 0.0 || fields.allocs_per_tuple != 0.0 ||
-      shuffle_nopool.allocs_per_tuple != 0.0) {
+      shuffle_nopool.allocs_per_tuple != 0.0 ||
+      broadcast.allocs_per_tuple != 0.0 ||
+      wide_fanout.allocs_per_tuple != 0.0) {
     std::fprintf(stderr,
                  "FAIL: steady-state allocs/tuple nonzero "
-                 "(shuffle %.4f, fields %.4f, shuffle-nopool %.4f)\n",
+                 "(shuffle %.4f, fields %.4f, shuffle-nopool %.4f, "
+                 "broadcast %.4f, wide-fanout %.4f)\n",
                  shuffle.allocs_per_tuple, fields.allocs_per_tuple,
-                 shuffle_nopool.allocs_per_tuple);
+                 shuffle_nopool.allocs_per_tuple, broadcast.allocs_per_tuple,
+                 wide_fanout.allocs_per_tuple);
     return 1;
   }
   return 0;

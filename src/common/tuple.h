@@ -11,8 +11,11 @@
 // optimization (strings up to Field::kInlineStringCap chars live
 // inside the field), and a Tuple keeps up to kInlineTupleFields fields
 // inline (spilling to the heap only beyond that). Constructing, moving
-// and routing a typical word_count/fraud tuple therefore touches no
-// allocator.
+// and routing a tuple of any bundled app therefore touches no
+// allocator. The inline capacity is sized to the widest bundled tuple
+// (Linear Road's 5-field position report) because a spill is more than
+// one malloc: a block allocated on one worker is often freed on
+// another, and glibc's arena lock then makes both workers sleep.
 #pragma once
 
 #include <cstdint>
@@ -166,9 +169,15 @@ static_assert(sizeof(Field) == 32, "Field layout regressed");
 /// changes.
 size_t FieldSizeBytes(const Field& f);
 
-/// Inline field slots per tuple; all bundled apps fit except Linear
-/// Road position reports (5 fields), which pay one spill block.
-inline constexpr size_t kInlineTupleFields = 4;
+/// Inline field slots per tuple: the widest bundled tuple, Linear
+/// Road's position report [type, vehicle, segment, speed, lane]. At 4
+/// slots each report spilled about 7 times (spout, parser copy, and the
+/// dispatcher's 5-route fan-out), and blocks freed on the other socket's
+/// worker contended glibc's arena lock. On a 4-vCPU Xeon, LR ran at
+/// 0.89M tuples/s with ~20k voluntary context switches/s at 4 slots,
+/// and at 1.51M tuples/s with ~50/s at 5. The extra slot costs 32 B
+/// per tuple (168 -> 200 B).
+inline constexpr size_t kInlineTupleFields = 5;
 
 /// A single stream tuple: a small inline vector of fields plus
 /// provenance metadata used for latency accounting. Moving a Tuple
@@ -194,6 +203,8 @@ struct Tuple {
   /// Approximate serialized/in-memory size (the model's N).
   size_t SizeBytes() const;
 };
+
+static_assert(sizeof(Tuple) == 200, "Tuple layout regressed");
 
 /// A batch of tuples sharing one header, from one producer to one
 /// consumer (§5.2). The engine moves JumboTuples through SPSC queues;

@@ -2,6 +2,8 @@
 // semantics, and profile consistency.
 #include "apps/apps.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "apps/fraud_detection.h"
@@ -364,6 +366,37 @@ TEST_P(AppRegistryTest, LegacyProfilesStrictlyCostlier) {
     EXPECT_GT(nojumbo->Get(name)->te_cycles, p.te_cycles) << name;
     // Storm's per-tuple cost exceeds the no-jumbo variant's.
     EXPECT_GT(storm->Get(name)->te_cycles, nojumbo->Get(name)->te_cycles);
+  }
+}
+
+// Every bundled app's source tuples fit Tuple's inline field slots: a
+// spilled tuple costs a malloc per construction and per routed copy,
+// often freed on another worker (see kInlineTupleFields).
+TEST_P(AppRegistryTest, SpoutTuplesStayInline) {
+  auto app = MakeApp(GetParam());
+  ASSERT_TRUE(app.ok());
+  ASSERT_FALSE(app->topology().spouts().empty());
+  for (const int id : app->topology().spouts()) {
+    const api::OperatorDecl& decl = app->topology().op(id);
+    ASSERT_TRUE(decl.spout_factory) << decl.name;
+    std::unique_ptr<api::Spout> spout = decl.spout_factory();
+    api::OperatorContext ctx;
+    ctx.operator_name = decl.name;
+    ctx.output_streams = decl.output_streams;
+    ASSERT_TRUE(spout->Prepare(ctx).ok()) << decl.name;
+    CaptureCollector out;
+    spout->NextBatch(256, &out);
+    ASSERT_GT(out.total(), 0u) << decl.name;
+    size_t spilled = 0, widest = 0;
+    for (uint16_t s = 0; s < decl.output_streams.size(); ++s) {
+      for (const Tuple& t : out.stream(s)) {
+        spilled += t.fields.on_heap() ? 1 : 0;
+        widest = std::max(widest, t.fields.size());
+      }
+    }
+    EXPECT_EQ(spilled, 0u) << decl.name << " emits up to " << widest
+                           << " fields; kInlineTupleFields is "
+                           << kInlineTupleFields;
   }
 }
 

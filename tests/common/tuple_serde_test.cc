@@ -79,13 +79,14 @@ TEST(FieldTest, VariantCompatibleIndexOrder) {
   EXPECT_EQ(Field().AsInt(), 0);
 }
 
-TEST(TupleTest, FieldsStayInlineUpToFourAndSpillBeyond) {
+TEST(TupleTest, FieldsStayInlineUpToCapacityAndSpillBeyond) {
+  constexpr int kCap = static_cast<int>(kInlineTupleFields);
   Tuple t;
-  for (int i = 0; i < 4; ++i) t.fields.emplace_back(int64_t{i});
+  for (int i = 0; i < kCap; ++i) t.fields.emplace_back(int64_t{i});
   EXPECT_FALSE(t.fields.on_heap());
-  t.fields.emplace_back(int64_t{4});  // LR position-report arity
+  t.fields.emplace_back(int64_t{kCap});
   EXPECT_TRUE(t.fields.on_heap());
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(t.GetInt(i), i);
+  for (int i = 0; i <= kCap; ++i) EXPECT_EQ(t.GetInt(i), i);
 }
 
 TEST(TupleTest, MovingATupleMovesFieldsWithoutCopying) {
