@@ -148,16 +148,16 @@ constexpr double kBaselineShuffleAllocsPerTuple = 2.125;
 /// single-core; interleaving producer and consumer measures the real
 /// per-tuple path without scheduler noise). With `recycle` the drain
 /// side hands empty batch shells back through the channel's return
-/// queue (the engine's BatchPool protocol); without it, shells come
-/// back through the ring slots themselves (reuse_ring_shells), so
-/// both modes are allocation-free in steady state.
+/// queue (the engine's BatchPool protocol, allocation-free in steady
+/// state); without it the drain side frees each batch and the
+/// producer allocates a fresh one per flush — the allocate-per-transfer
+/// mode the Storm/Flink-like presets run.
 EmitResult RunEmitBench(const std::vector<RouteShape>& routes,
                         TupleShape shape, int consumers, int batch,
                         uint64_t rounds, bool recycle) {
   EngineConfig cfg = EngineConfig::Brisk();
   cfg.batch_size = batch;
   cfg.recycle_batches = recycle;
-  const bool reuse = cfg.reuse_ring_shells && !cfg.recycle_batches;
   Task task(0, 0, cfg, nullptr);
   std::vector<std::unique_ptr<Channel>> channels;
   for (const RouteShape& rs : routes) {
@@ -167,8 +167,7 @@ EmitResult RunEmitBench(const std::vector<RouteShape>& routes,
     route.key_field = rs.key_field;
     for (int c = 0; c < consumers; ++c) {
       channels.push_back(std::make_unique<Channel>(
-          0, static_cast<int>(channels.size()) + 1, cfg.queue_capacity,
-          reuse));
+          0, static_cast<int>(channels.size()) + 1, cfg.queue_capacity));
       route.channels.push_back(channels.back().get());
       route.buffer_index.push_back(task.AddBuffer());
     }
@@ -204,9 +203,6 @@ EmitResult RunEmitBench(const std::vector<RouteShape>& routes,
         if (recycle) {
           env.batch->Reset();
           ch->Recycle(std::move(env.batch));
-        } else if (reuse) {
-          env.batch->Reset();
-          ch->ReturnShell(std::move(env.batch));  // back via the ring
         } else {
           env.batch.reset();  // consumer frees the batch (no pool)
         }
@@ -215,12 +211,7 @@ EmitResult RunEmitBench(const std::vector<RouteShape>& routes,
   };
 
   // Warm-up: reach steady-state capacities (staging buffers, queue
-  // slots, pooled batches) before counting anything. The ring-reuse
-  // mode needs one full ring lap — each push lands one slot further,
-  // and a slot only yields a recovered shell after the consumer has
-  // deposited into it once — so warm up past the ring size (the
-  // rounded-up power of two above queue_capacity), one push per
-  // channel per round.
+  // slots, pooled batches) before counting anything.
   const int warmup = 2 * static_cast<int>(cfg.queue_capacity) + 64;
   for (int r = 0; r < warmup; ++r) {
     emit_round();
@@ -343,22 +334,22 @@ int Main(int argc, char** argv) {
   if (!bench::WriteJsonFile(out_path, doc)) return 1;
   std::printf("wrote %s\n", out_path.c_str());
 
-  // CI gate: the emit path must not touch the allocator in steady
-  // state — pooled (BatchPool) *and* unpooled (ring-shell reuse), and
-  // for fan-out copies (broadcast, and LR's 5-field tuples over 5
-  // routes). A single alloc per tuple (or per batch) is a regression
-  // of the whole point of this data plane.
+  // CI gate: the pooled emit path must not touch the allocator in
+  // steady state — for one-route groupings and for fan-out copies
+  // (broadcast, and LR's 5-field tuples over 5 routes). A single alloc
+  // per tuple (or per batch) is a regression of the whole point of
+  // this data plane. shuffle-nopool is the allocate-per-transfer
+  // ablation (recycle_batches off): its allocs/tuple is reported, not
+  // gated.
   if (shuffle.allocs_per_tuple != 0.0 || fields.allocs_per_tuple != 0.0 ||
-      shuffle_nopool.allocs_per_tuple != 0.0 ||
       broadcast.allocs_per_tuple != 0.0 ||
       wide_fanout.allocs_per_tuple != 0.0) {
     std::fprintf(stderr,
                  "FAIL: steady-state allocs/tuple nonzero "
-                 "(shuffle %.4f, fields %.4f, shuffle-nopool %.4f, "
-                 "broadcast %.4f, wide-fanout %.4f)\n",
+                 "(shuffle %.4f, fields %.4f, broadcast %.4f, "
+                 "wide-fanout %.4f)\n",
                  shuffle.allocs_per_tuple, fields.allocs_per_tuple,
-                 shuffle_nopool.allocs_per_tuple, broadcast.allocs_per_tuple,
-                 wide_fanout.allocs_per_tuple);
+                 broadcast.allocs_per_tuple, wide_fanout.allocs_per_tuple);
     return 1;
   }
   return 0;

@@ -10,10 +10,15 @@
 // loop, which must be exactly zero (selection vector and scratch
 // batches retain capacity across calls).
 //
-// CI gates (exit code): compiled throughput >= 100M tuples/s, compiled
-// >= 3x interpreted, zero allocs in the compiled loop.
+// The two modes run as kTrials alternating (compiled, interpreted)
+// trial pairs, so a noisy moment on the host lands on both modes
+// rather than on one. CI gates (exit code) judge medians over the
+// trials: median compiled throughput >= 100M tuples/s, median
+// compiled:interpreted speedup >= 3x; and zero allocs in the compiled
+// loop of every trial.
 //
 // Flags: --quick (CI-sized round count), --out <path> (JSON location).
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -208,6 +213,36 @@ ModeResult RunInterpreted(uint64_t rounds, size_t batch_size) {
   return res;
 }
 
+/// Median, min and max of a sample (copied: the caller's order is the
+/// trial order and stays intact).
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread SpreadOf(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  Spread s;
+  s.median = n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+  s.min = v.front();
+  s.max = v.back();
+  return s;
+}
+
+uint64_t MaxAllocs(const std::vector<ModeResult>& runs) {
+  uint64_t worst = 0;
+  for (const ModeResult& r : runs) worst = std::max(worst, r.allocs);
+  return worst;
+}
+
+bench::JsonObj SpreadJson(const Spread& s) {
+  bench::JsonObj o;
+  o.Add("median", s.median).Add("min", s.min).Add("max", s.max);
+  return o;
+}
+
 std::string Mps(double tps) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.1fM", tps / 1e6);
@@ -230,72 +265,100 @@ int main(int argc, char** argv) {
   }
 
   constexpr size_t kBatch = 64;
+  constexpr int kTrials = 5;
   const uint64_t rounds = quick ? 400'000 : 4'000'000;
 
   bench::Banner("pipeline",
                 "compiled (batch) vs interpreted (row) fused filter+map");
 
-  const ModeResult compiled = RunCompiled(rounds, kBatch);
-  const ModeResult interp = RunInterpreted(rounds, kBatch);
-  const double speedup = compiled.tuples_per_sec / interp.tuples_per_sec;
+  std::vector<ModeResult> compiled;
+  std::vector<ModeResult> interp;
+  std::vector<double> compiled_tps, interp_tps, speedups;
+  for (int t = 0; t < kTrials; ++t) {
+    compiled.push_back(RunCompiled(rounds, kBatch));
+    interp.push_back(RunInterpreted(rounds, kBatch));
+    compiled_tps.push_back(compiled.back().tuples_per_sec);
+    interp_tps.push_back(interp.back().tuples_per_sec);
+    speedups.push_back(compiled_tps.back() / interp_tps.back());
+  }
+  const Spread compiled_spread = SpreadOf(compiled_tps);
+  const Spread interp_spread = SpreadOf(interp_tps);
+  const Spread speedup = SpreadOf(speedups);
 
-  const std::vector<int> widths = {22, 14, 10, 8};
+  const std::vector<int> widths = {26, 14, 10, 8};
   bench::PrintRule(widths);
-  bench::PrintRow({"mode", "tuples/s", "ns/tuple", "allocs"}, widths);
+  bench::PrintRow({"trial / mode", "tuples/s", "ns/tuple", "allocs"}, widths);
   bench::PrintRule(widths);
   char buf[64];
-  auto row = [&](const char* name, const ModeResult& r) {
+  auto row = [&](const std::string& name, const ModeResult& r) {
     std::snprintf(buf, sizeof(buf), "%.1f", r.ns_per_tuple);
     bench::PrintRow({name, Mps(r.tuples_per_sec), buf,
                      std::to_string(r.allocs)},
                     widths);
   };
-  row("compiled (RunBatch)", compiled);
-  row("interpreted (RunRow)", interp);
+  for (int t = 0; t < kTrials; ++t) {
+    row(std::to_string(t) + " compiled (RunBatch)", compiled[t]);
+    row(std::to_string(t) + " interpreted (RunRow)", interp[t]);
+  }
   bench::PrintRule(widths);
-  std::printf("compiled vs interpreted speedup: %.2fx\n", speedup);
+  std::printf("median compiled %s, interpreted %s; speedup median %.2fx "
+              "[min %.2fx, max %.2fx]\n",
+              Mps(compiled_spread.median).c_str(),
+              Mps(interp_spread.median).c_str(), speedup.median, speedup.min,
+              speedup.max);
 
   bench::JsonObj workload;
   workload.Add("chain", "filter(f0 > 31) | map(f1 += 1)")
       .Add("batch_size", static_cast<int>(kBatch))
-      .Add("rounds", rounds)
+      .Add("rounds_per_trial", rounds)
+      .Add("trials", kTrials)
       .Add("selectivity", 0.5)
       .Add("quick", quick);
-  auto mode_json = [](const ModeResult& r) {
+  // Per-mode figures: tuples/s spread over the trials, plus the
+  // per-trial constants (tuples, survivors) and the worst trial's
+  // alloc count.
+  auto mode_json = [](const std::vector<ModeResult>& runs,
+                      const Spread& tps) {
     bench::JsonObj o;
-    o.Add("tuples_per_sec", r.tuples_per_sec)
-        .Add("ns_per_tuple", r.ns_per_tuple)
-        .Add("tuples", r.tuples)
-        .Add("survivors", r.survivors)
-        .Add("allocs_in_measured_loop", r.allocs);
+    o.Add("tuples_per_sec", SpreadJson(tps))
+        .Add("ns_per_tuple_median", 1e9 / tps.median)
+        .Add("tuples_per_trial", runs.front().tuples)
+        .Add("survivors_per_trial", runs.front().survivors)
+        .Add("max_allocs_in_measured_loop", MaxAllocs(runs));
     return o;
   };
   bench::JsonObj doc;
   doc.Add("bench", "pipeline")
       .Add("workload", workload)
-      .Add("compiled", mode_json(compiled))
-      .Add("interpreted", mode_json(interp))
-      .Add("speedup_compiled_vs_interpreted", speedup);
+      .Add("compiled", mode_json(compiled, compiled_spread))
+      .Add("interpreted", mode_json(interp, interp_spread))
+      .Add("speedup_compiled_vs_interpreted", SpreadJson(speedup));
   bench::WriteJsonFile(out_path, doc);
   std::printf("wrote %s\n", out_path.c_str());
 
   // CI gates. The 100M tuples/s floor is the issue's acceptance bar
-  // (~3x the 34M row-wise baseline); the zero-alloc gate pins the
-  // steady-state property RunBatch is designed around.
+  // (~3x the 34M row-wise baseline); the throughput and speedup gates
+  // judge medians, so one trial that lands on a noisy moment cannot
+  // fail the run. The zero-alloc gate pins the steady-state property
+  // RunBatch is designed around, and holds on every trial.
   int rc = 0;
-  if (compiled.tuples_per_sec < 100e6) {
-    std::fprintf(stderr, "FAIL: compiled pipeline below 100M tuples/s (%.1fM)\n",
-                 compiled.tuples_per_sec / 1e6);
-    rc = 1;
-  }
-  if (speedup < 3.0) {
-    std::fprintf(stderr, "FAIL: compiled speedup below 3x (%.2fx)\n", speedup);
-    rc = 1;
-  }
-  if (compiled.allocs != 0) {
+  if (compiled_spread.median < 100e6) {
     std::fprintf(stderr,
-                 "FAIL: compiled loop touched the allocator (%llu allocs)\n",
-                 static_cast<unsigned long long>(compiled.allocs));
+                 "FAIL: median compiled pipeline below 100M tuples/s (%.1fM)\n",
+                 compiled_spread.median / 1e6);
+    rc = 1;
+  }
+  if (speedup.median < 3.0) {
+    std::fprintf(stderr, "FAIL: median compiled speedup below 3x (%.2fx)\n",
+                 speedup.median);
+    rc = 1;
+  }
+  const uint64_t max_compiled_allocs = MaxAllocs(compiled);
+  if (max_compiled_allocs != 0) {
+    std::fprintf(stderr,
+                 "FAIL: compiled loop touched the allocator (%llu allocs in "
+                 "the worst trial)\n",
+                 static_cast<unsigned long long>(max_compiled_allocs));
     rc = 1;
   }
   return rc;

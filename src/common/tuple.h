@@ -235,15 +235,6 @@ struct JumboTuple {
     tuples.clear();
     bytes.clear();
   }
-
-  /// Shells route through the calling thread's BatchArena when one is
-  /// installed (pool workers install their socket's NumaArena), else
-  /// the global allocator. Each shell carries a hidden provenance
-  /// header, so delete returns it to the arena that produced it no
-  /// matter which thread — or socket — frees it. Definitions live in
-  /// common/batch_arena.cc.
-  static void* operator new(size_t bytes);
-  static void operator delete(void* p, size_t bytes) noexcept;
 };
 
 using JumboTuplePtr = std::unique_ptr<JumboTuple>;

@@ -1,15 +1,20 @@
 // Inter-task channel: a bounded SPSC queue of envelopes, one per
 // directed (producer instance → consumer instance) edge, paired with a
 // reverse SPSC queue that recycles drained JumboTuple batches back to
-// the producer (the BatchPool protocol).
+// the producer (the BatchPool protocol — the engine's one way of
+// reusing batch shells).
 //
 // Ownership protocol: the producer task allocates (or reuses) a batch,
 // fills it, and pushes it downstream; the consumer drains it, calls
 // Reset(), and hands the empty shell back through Recycle(). The
 // producer prefers recycled shells in TryPopRecycled() over the
-// allocator, so steady state allocates nothing — and, just as
-// important on a NUMA machine, batches are freed by the socket that
-// allocated them instead of cross-socket.
+// allocator, so a channel allocates shells only until its pool holds
+// every batch that can be in flight (ring capacity + 1), and nothing
+// after — and, just as important on a NUMA machine, batches are freed
+// by the socket that allocated them instead of cross-socket. With
+// EngineConfig::recycle_batches off (the Storm/Flink-like presets)
+// the consumer frees each drained batch and the producer allocates a
+// fresh one per flush, which is the overhead those runtimes model.
 #pragma once
 
 #include <cstdint>
@@ -36,24 +41,16 @@ struct Envelope {
 
 class Channel {
  public:
-  /// `reuse_shells` enables the ring-is-the-pool protocol for modes
-  /// that run without the recycle queue (recycle_batches off): the
-  /// consumer deposits the previously drained shell into the slot it
-  /// vacates (TryPopSwap) and the producer's push swaps it back out
-  /// (TryPushSwap), so after the first ring lap neither side touches
-  /// the allocator.
   /// `ring_memory` backs both ring buffers' slot storage; the runtime
   /// passes the *consumer* socket's NumaArena so a batch pointer is
   /// read from memory local to the socket that pops it. The resource
   /// must outlive the channel (arena lifetime rule: arenas are owned by
   /// the runtime and destroyed after every channel and task).
   Channel(int from_instance, int to_instance, size_t capacity,
-          bool reuse_shells = false,
           std::pmr::memory_resource* ring_memory =
               std::pmr::get_default_resource())
       : from_instance_(from_instance),
         to_instance_(to_instance),
-        reuse_shells_(reuse_shells),
         queue_(capacity, ring_memory),
         recycled_(capacity + 1, ring_memory) {
     producer_full_threshold_ = queue_.capacity();
@@ -67,17 +64,6 @@ class Channel {
   /// mode); under saturation the queue is never empty, so the hint is
   /// off the hot path.
   bool TryPush(Envelope&& e) {
-    if (reuse_shells_) {
-      const bool was_empty =
-          consumer_waker_ != nullptr && queue_.EmptyApprox();
-      if (!queue_.TryPushSwap(e)) return false;
-      // The swap recovered the consumer's deposited shell (null on the
-      // first ring lap); stash it for the next FlushBuffer.
-      if (e.batch != nullptr) producer_spare_ = std::move(e.batch);
-      e = Envelope{};
-      if (was_empty) consumer_waker_->Notify();
-      return true;
-    }
     if (consumer_waker_ == nullptr) return queue_.TryPush(std::move(e));
     const bool was_empty = queue_.EmptyApprox();
     if (!queue_.TryPush(std::move(e))) return false;
@@ -90,22 +76,6 @@ class Channel {
   /// and the pop just made room. "Full" is the producer's view
   /// (producer_full_threshold).
   bool TryPop(Envelope* e) {
-    if (reuse_shells_) {
-      const bool was_full =
-          producer_waker_ != nullptr &&
-          queue_.SizeApprox() >= producer_full_threshold_;
-      // Deposit the shell returned after the *previous* pop into the
-      // slot this pop vacates (a null batch on early laps is fine: the
-      // producer's swap then falls back to the allocator once).
-      Envelope deposit;
-      deposit.batch = std::move(spare_);
-      if (!queue_.TryPopSwap(e, deposit)) {
-        spare_ = std::move(deposit.batch);
-        return false;
-      }
-      if (was_full) producer_waker_->Notify();
-      return true;
-    }
     if (producer_waker_ == nullptr) return queue_.TryPop(e);
     const bool was_full = queue_.SizeApprox() >= producer_full_threshold_;
     if (!queue_.TryPop(e)) return false;
@@ -158,32 +128,14 @@ class Channel {
     return recycled_.TryPop(batch);
   }
 
-  // Ring-is-the-pool return path (reuse_shells mode). Both sides are
-  // strictly thread-local: spare_ is touched only by the consumer
-  // task's thread, producer_spare_ only by the producer's — the
-  // hand-off itself rides the ring slots' existing release/acquire.
-
-  bool reuse_shells() const { return reuse_shells_; }
-
-  /// Consumer side: stages a drained shell; the next TryPop deposits
-  /// it into the slot it vacates.
-  void ReturnShell(JumboTuplePtr&& batch) { spare_ = std::move(batch); }
-
-  /// Producer side: takes the shell the last TryPush swapped out of
-  /// the ring (null until the ring's first lap completes).
-  JumboTuplePtr TakeProducerShell() { return std::move(producer_spare_); }
-
  private:
   int from_instance_;
   int to_instance_;
-  bool reuse_shells_ = false;
   SpscQueue<Envelope> queue_;
   SpscQueue<JumboTuplePtr> recycled_;
   WakerRef* consumer_waker_ = nullptr;
   WakerRef* producer_waker_ = nullptr;
   size_t producer_full_threshold_ = 0;  // set to ring capacity in ctor
-  JumboTuplePtr spare_;           // consumer-thread only
-  JumboTuplePtr producer_spare_;  // producer-thread only
 };
 
 }  // namespace brisk::engine

@@ -68,8 +68,9 @@ struct EngineConfig {
 
   /// Recycle drained JumboTuple batches back to the producer through
   /// the channel's return queue (BatchPool) instead of freeing them on
-  /// the consumer's socket. On by default — off only for measuring the
-  /// allocate-per-flush cost it removes.
+  /// the consumer's socket — the engine's one way of reusing batch
+  /// shells. Off (the Storm/Flink-like presets) the consumer frees
+  /// each drained batch and the producer allocates one per flush.
   bool recycle_batches = true;
 
   /// Dispatch whole batches through an operator's compiled pipeline
@@ -80,14 +81,6 @@ struct EngineConfig {
   /// interpreted engine bit-for-bit — the differential matrix runs
   /// both.
   bool compile_pipelines = true;
-
-  /// When batch recycling is off, recover drained batch shells through
-  /// the SPSC ring itself (consumer deposits the previous shell into
-  /// the slot it vacates; the producer's push swaps it back out), so
-  /// even the unpooled mode allocates nothing in steady state. Legacy
-  /// modes keep this off — allocating per transfer is the overhead
-  /// they model.
-  bool reuse_ring_shells = true;
 
   /// Charge Formula-2 remote-fetch stalls (busy-wait) for batches that
   /// cross virtual sockets in the plan (hardware substitution — see
@@ -141,11 +134,11 @@ struct EngineConfig {
   /// gave it (the pre-stealing behavior, kept for A/B benching).
   bool steal_work = true;
 
-  /// Back channel/batch-shell allocation with per-plan-socket
-  /// hugepage-backed arenas (hw::NumaArena), mbind-placed on real
-  /// multi-node hosts and first-touch everywhere else. Off = global
-  /// allocator for everything (legacy modes keep it off: allocation
-  /// cost is part of what they model).
+  /// Back channel ring storage with per-plan-socket hugepage-backed
+  /// arenas (hw::NumaArena) on the consumer's socket, mbind-placed on
+  /// real multi-node hosts and first-touch everywhere else. Off =
+  /// global allocator for everything (legacy modes keep it off:
+  /// allocation cost is part of what they model).
   bool numa_arena = true;
 
   /// Stop() stops spouts first and lets bolts drain in-flight
@@ -182,7 +175,6 @@ struct EngineConfig {
     c.extra_condition_checks = true;
     c.recycle_batches = false;  // legacy runtimes allocate per transfer
     c.compile_pipelines = false;
-    c.reuse_ring_shells = false;
     c.steal_work = false;  // legacy schedulers hash-pin executors
     c.numa_arena = false;
     return c;
@@ -198,7 +190,6 @@ struct EngineConfig {
     c.duplicate_headers = true;
     c.recycle_batches = false;  // legacy runtimes allocate per transfer
     c.compile_pipelines = false;
-    c.reuse_ring_shells = false;
     c.steal_work = false;  // legacy schedulers hash-pin executors
     c.numa_arena = false;
     return c;

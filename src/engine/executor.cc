@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <optional>
 #include <utility>
 
 #if defined(__linux__)
@@ -11,7 +10,6 @@
 #include <sched.h>
 #endif
 
-#include "common/batch_arena.h"
 #include "common/logging.h"
 #include "engine/spin.h"
 #include "engine/steal_deque.h"
@@ -242,9 +240,6 @@ class WorkerPoolExecutor final : public Executor {
         workers_.back()->group = group;
         workers_.back()->deque =
             std::make_unique<StealDeque>(total_tasks);
-        if (arenas_ != nullptr) {
-          workers_.back()->arena = arenas_->ForSocket(socket);
-        }
       }
       for (size_t i = 0; i < socket_tasks.size(); ++i) {
         BRISK_CHECK(
@@ -349,7 +344,6 @@ class WorkerPoolExecutor final : public Executor {
   struct Worker {
     Waker waker;
     std::unique_ptr<StealDeque> deque;
-    hw::NumaArena* arena = nullptr;  // this socket's shell arena
     int socket = 0;
     int index_in_socket = 0;
     int group = 0;  // index into groups_
@@ -582,11 +576,6 @@ class WorkerPoolExecutor final : public Executor {
   }
 
   void Loop(Worker* w) {
-    // Shell allocations this worker performs (producer-side
-    // FlushBuffer) come from its socket's arena and are first-touched
-    // on this thread.
-    std::optional<BatchArenaScope> arena_scope;
-    if (w->arena != nullptr) arena_scope.emplace(w->arena);
     int idle_passes = 0;
     int failed_intra_rounds = 0;
     // The remembered park token: a park that ended by timeout (not

@@ -114,9 +114,8 @@ class Executor {
 /// Builds the executor selected by `config.executor`. `machine` (the
 /// deployed MachineSpec, nullable) supplies cores-per-socket for
 /// pinning and worker sizing; `channels` get Waker hints wired in pool
-/// mode; `arenas` (nullable) supplies per-socket NumaArenas that pool
-/// workers install thread-locally for batch-shell allocation, plus the
-/// detected host topology for node-aware pinning. All pointers must
+/// mode; `arenas` (nullable) supplies the detected host topology for
+/// node-aware pinning. All pointers must
 /// outlive the executor.
 std::unique_ptr<Executor> MakeExecutor(const EngineConfig& config,
                                        StopSignals* signals,

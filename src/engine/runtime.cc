@@ -33,9 +33,9 @@ StatusOr<std::unique_ptr<BriskRuntime>> BriskRuntime::Create(
   rt->retired_op_stats_.resize(topo->num_operators());
   if (config.numa_arena) {
     // One hugepage-backed arena per plan socket, bound to a real NUMA
-    // node when the host has several. Channel rings and batch shells
-    // allocate from the consumer's arena, so a task's hot memory sits
-    // on the socket RLAS placed it on.
+    // node when the host has several. Channel rings allocate from the
+    // consumer's arena, so the slots a task pops sit on the socket
+    // RLAS placed it on.
     rt->arenas_ = std::make_unique<hw::ArenaSet>(
         hw::DetectHostTopology(), hw::kArenaChunkBytes);
   }
@@ -128,18 +128,13 @@ Status BriskRuntime::WireGraph(
                                 : plan.replication(e.consumer_op);
       for (int cr = 0; cr < consumers; ++cr) {
         const int cinst = plan.InstanceId(e.consumer_op, cr);
-        // Ring-shell reuse only matters (and is only safe to prefer)
-        // when the recycle queue is off — with recycling on, shells
-        // come back through the BatchPool path instead.
         std::pmr::memory_resource* ring_memory =
             arenas_ != nullptr
                 ? static_cast<std::pmr::memory_resource*>(
                       arenas_->ForSocket(instance_sockets_[cinst]))
                 : std::pmr::get_default_resource();
         channels_.push_back(std::make_unique<Channel>(
-            pinst, cinst, config_.queue_capacity,
-            config_.reuse_ring_shells && !config_.recycle_batches,
-            ring_memory));
+            pinst, cinst, config_.queue_capacity, ring_memory));
         Channel* ch = channels_.back().get();
         tasks_[cinst]->AddInput(ch);
         route.channels.push_back(ch);

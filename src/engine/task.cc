@@ -291,12 +291,6 @@ bool Task::FlushBuffer(int buffer_idx, Channel* channel, bool force) {
   if (config_.recycle_batches && channel->TryPopRecycled(&batch)) {
     ++stats_.batches_recycled;
     batch->Reset();  // consumer already Reset(); cheap belt-and-braces
-  } else if (channel->reuse_shells() &&
-             (batch = channel->TakeProducerShell()) != nullptr) {
-    // Ring-is-the-pool mode: the last push swapped the consumer's
-    // deposited shell out of the ring slot; reuse it here.
-    ++stats_.batches_recycled;
-    batch->Reset();
   } else {
     batch = std::make_unique<JumboTuple>();
   }
@@ -396,11 +390,6 @@ void Task::Consume(Envelope env, Channel* from) {
     // it here (which, under NUMA, would free remote-socket memory).
     env.batch->Reset();
     from->Recycle(std::move(env.batch));
-  } else if (from != nullptr && from->reuse_shells()) {
-    // Unpooled mode with ring reuse: stage the shell so the next pop
-    // deposits it into the slot it vacates.
-    env.batch->Reset();
-    from->ReturnShell(std::move(env.batch));
   }
 }
 

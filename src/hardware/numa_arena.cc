@@ -122,7 +122,12 @@ bool NumaArena::MapChunk(size_t min_bytes) {
   return true;
 }
 
-void* NumaArena::Allocate(size_t bytes) {
+void* NumaArena::do_allocate(size_t bytes, size_t alignment) {
+  if (alignment > alignof(std::max_align_t)) {
+    // Over-aligned rings are not a case the engine produces; defer to
+    // the global allocator rather than complicating the size classes.
+    return ::operator new(bytes, std::align_val_t{alignment});
+  }
   const size_t cls = SizeClass(bytes);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = free_.find(cls);
@@ -140,35 +145,16 @@ void* NumaArena::Allocate(size_t bytes) {
   return p;
 }
 
-void NumaArena::Deallocate(void* p, size_t bytes) {
-  if (p == nullptr) return;
-  const size_t cls = SizeClass(bytes);
-  std::lock_guard<std::mutex> lock(mu_);
-  free_[cls].push_back(p);
-  in_use_ -= std::min(in_use_, cls);
-}
-
-void* NumaArena::AllocateShell(size_t bytes) { return Allocate(bytes); }
-
-void NumaArena::DeallocateShell(void* p, size_t bytes) {
-  Deallocate(p, bytes);
-}
-
-void* NumaArena::do_allocate(size_t bytes, size_t alignment) {
-  if (alignment > alignof(std::max_align_t)) {
-    // Over-aligned rings are not a case the engine produces; defer to
-    // the global allocator rather than complicating the size classes.
-    return ::operator new(bytes, std::align_val_t{alignment});
-  }
-  return Allocate(bytes);
-}
-
 void NumaArena::do_deallocate(void* p, size_t bytes, size_t alignment) {
   if (alignment > alignof(std::max_align_t)) {
     ::operator delete(p, std::align_val_t{alignment});
     return;
   }
-  Deallocate(p, bytes);
+  if (p == nullptr) return;
+  const size_t cls = SizeClass(bytes);
+  std::lock_guard<std::mutex> lock(mu_);
+  free_[cls].push_back(p);
+  in_use_ -= std::min(in_use_, cls);
 }
 
 ArenaSet::ArenaSet(HostTopology topology, size_t chunk_bytes)

@@ -9,25 +9,24 @@
 // migration are recycled by the next epoch's WireGraph instead of
 // growing the reservation.
 //
-// The arena is plugged in through two interfaces:
-//   - std::pmr::memory_resource: channel/SPSC ring slot storage
-//     (allocated on the consumer's socket by the runtime);
-//   - brisk::BatchArena: JumboTuple shells, installed thread-locally
-//     on each pool worker so producers allocate socket-local shells.
+// The arena is a std::pmr::memory_resource backing channel/SPSC ring
+// slot storage, allocated on the consumer's socket by the runtime.
+// JumboTuple batches are not placed here: their tuple storage is the
+// producer's staging buffer (global allocator), and a channel
+// allocates shells only until its recycle pool fills (see
+// engine/channel.h), so placing the shell header would move nothing
+// hot.
 //
 // Thread safety: one mutex per arena. Allocation is not on the
-// steady-state hot path — BatchPool recycling and ring-shell reuse
-// mean shells are allocated at warm-up and recycled thereafter; rings
-// are allocated at (re)wire time only.
+// steady-state hot path — rings are allocated at (re)wire time only.
 //
 // Lifetime rules: an arena never returns memory to the OS before
 // destruction, so pointers into it stay valid for the runtime's whole
-// life. The runtime owns its ArenaSet and declares it before tasks and
-// channels, which makes the arenas the last thing destroyed — after
-// every ring buffer and every shell that could point into them.
+// life. The runtime owns its ArenaSet and declares it before channels,
+// which makes the arenas the last thing destroyed — after every ring
+// buffer that could point into them.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <memory_resource>
@@ -35,7 +34,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/batch_arena.h"
 #include "hardware/topology.h"
 
 namespace brisk::hw {
@@ -44,8 +42,7 @@ namespace brisk::hw {
 /// x86-64 2 MiB huge page.
 inline constexpr size_t kArenaChunkBytes = size_t{2} << 20;
 
-class NumaArena final : public std::pmr::memory_resource,
-                        public brisk::BatchArena {
+class NumaArena final : public std::pmr::memory_resource {
  public:
   /// `numa_node` < 0 skips binding (emulated sockets on a single-node
   /// host); `chunk_bytes` is the reservation granularity, rounded up
@@ -65,10 +62,6 @@ class NumaArena final : public std::pmr::memory_resource,
   /// Outstanding (not yet freed) bytes, size-class rounded.
   size_t bytes_in_use() const;
 
-  // brisk::BatchArena (JumboTuple shells).
-  void* AllocateShell(size_t bytes) override;
-  void DeallocateShell(void* p, size_t bytes) override;
-
  protected:
   // std::pmr::memory_resource (ring storage).
   void* do_allocate(size_t bytes, size_t alignment) override;
@@ -85,8 +78,6 @@ class NumaArena final : public std::pmr::memory_resource,
     bool mmapped = false;  // munmap vs operator delete
   };
 
-  void* Allocate(size_t bytes);
-  void Deallocate(void* p, size_t bytes);
   bool MapChunk(size_t min_bytes);  // mu_ held
 
   const int socket_;

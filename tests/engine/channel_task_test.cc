@@ -89,6 +89,7 @@ TEST(EngineConfigTest, FactoriesEncodeSystemTraits) {
   EXPECT_GT(brisk.batch_size, 1);
   EXPECT_FALSE(brisk.serialize_tuples);
   EXPECT_FALSE(brisk.duplicate_headers);
+  EXPECT_TRUE(brisk.recycle_batches);
 
   const EngineConfig nojumbo = EngineConfig::BriskNoJumbo();
   EXPECT_EQ(nojumbo.batch_size, 1);
@@ -99,10 +100,12 @@ TEST(EngineConfigTest, FactoriesEncodeSystemTraits) {
   EXPECT_TRUE(storm.duplicate_headers);
   EXPECT_TRUE(storm.extra_condition_checks);
   EXPECT_LT(storm.batch_size, brisk.batch_size);
+  EXPECT_FALSE(storm.recycle_batches);  // allocate per transfer
 
   const EngineConfig flink = EngineConfig::FlinkLike();
   EXPECT_TRUE(flink.serialize_tuples);
   EXPECT_FALSE(flink.extra_condition_checks);
+  EXPECT_FALSE(flink.recycle_batches);
 }
 
 /// Drives a Task directly (no thread) to verify collector routing.
